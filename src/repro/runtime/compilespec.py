@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.datatypes.sorts import Sort
 from repro.lang import ast
 from repro.lang.checker import CheckedSpecification, ClassInfo
+from repro.temporal.monitors import is_stateless
 
 
 @dataclass
@@ -26,6 +27,10 @@ class CompiledClass:
     valuation_by_event: Dict[str, List[ast.ValuationRule]] = field(default_factory=dict)
     #: event name -> permission rules guarding it
     permissions_by_event: Dict[str, List[ast.PermissionRule]] = field(default_factory=dict)
+    #: the permission rules whose monitors keep summary state, i.e. the
+    #: only ones a committed step must update (stateless rules are
+    #: checked against the live state alone)
+    stateful_permissions: List[ast.PermissionRule] = field(default_factory=list)
     #: event name -> calling rules it triggers (local interaction section)
     callings_by_event: Dict[str, List[ast.CallingRule]] = field(default_factory=dict)
     #: derived attribute name -> derivation rule
@@ -200,4 +205,10 @@ def _compile_class(info: ClassInfo) -> CompiledClass:
                     event=EventRef(name=death.name),
                 )
                 compiled.permissions_by_event.setdefault(death.name, []).append(rule)
+    compiled.stateful_permissions = [
+        rule
+        for rules in compiled.permissions_by_event.values()
+        for rule in rules
+        if not is_stateless(rule.formula)
+    ]
     return compiled

@@ -1443,10 +1443,12 @@ class ObjectBase:
         """Build a rule's incremental monitor and bring it up to date by
         replaying the instance's committed trace (exactly the restore
         replay, and equivalent to having updated it at every commit --
-        monitors always exist by first commit in the all-resident
-        runtime).  Instances faulted in from storage therefore rebuild
-        their monitors lazily on first permission check, never at fault
-        time, so faulting evaluates no formulas."""
+        stateful monitors always exist by first commit in the
+        all-resident runtime).  Instances faulted in from storage
+        therefore rebuild their monitors lazily on first permission
+        check, never at fault time, so faulting evaluates no formulas.
+        A stateless monitor has nothing to replay; it is first built by
+        the check that needs it."""
         monitor = FormulaMonitor(
             rule.formula,
             instance.compiled.var_sorts_for(rule),
@@ -1454,7 +1456,7 @@ class ObjectBase:
             term_eval=self._class_term_eval(instance.compiled),
         )
         instance.monitors[id(rule)] = monitor
-        if instance.trace:
+        if instance.trace and not monitor.stateless:
             env = instance.environment()
             for step in instance.trace:
                 monitor.update(step, env)
@@ -1463,18 +1465,19 @@ class ObjectBase:
     def _update_monitors(self, instance: Instance, step: TraceStep) -> None:
         monitors = instance.monitors
         env: Optional[Environment] = None
-        for rule_list in instance.compiled.permissions_by_event.values():
-            for rule in rule_list:
-                monitor = monitors.get(id(rule))
-                if monitor is None:
-                    # creation replays the whole trace -- the committed
-                    # ``step`` included (record_step ran first), so an
-                    # explicit update here would double-apply it
-                    self._create_monitor(instance, rule)
-                    continue
-                if env is None:
-                    env = instance.environment()
-                monitor.update(step, env)
+        # stateless rules' monitors have no summary to advance; they are
+        # created on first check (_monitor_for)
+        for rule in instance.compiled.stateful_permissions:
+            monitor = monitors.get(id(rule))
+            if monitor is None:
+                # creation replays the whole trace -- the committed
+                # ``step`` included (record_step ran first), so an
+                # explicit update here would double-apply it
+                self._create_monitor(instance, rule)
+                continue
+            if env is None:
+                env = instance.environment()
+            monitor.update(step, env)
 
     def _check_static_constraints(self, txn: _Transaction) -> None:
         if not self.check_constraints:

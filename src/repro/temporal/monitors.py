@@ -26,6 +26,22 @@ satisfying position -- which covers every permission in the paper.  The
 test suite cross-checks monitors against the naive semantics on
 randomised traces.
 
+One fold enumerates from its guard instead: ``sometime(x in A)`` with
+``x`` its only declared variable (of a scalar sort) and ``A`` a name
+that is not a declared variable.  A binding can satisfy ``x in A`` only
+if it equals an element of ``A``, so each step folds just the elements
+of ``A`` in that step's state that are sort-compatible with ``x`` (the
+paper's DEPT ``closure`` guard: ≤ the current members, not the whole
+PERSON population).  A step whose state holds no set or list under
+``A`` marks nothing: a scalar there makes ``x in A`` false, and where
+``A`` is absent the naive semantics resolves it to its live value,
+which the current-instant check already reads.  Every other fold keeps
+the active domain.
+
+Trees made only of state propositions under ``not``/``and``/``or``/
+``=>`` keep no summary (:func:`is_stateless`): their ``update`` is a
+no-op, so the object base never updates or replays them.
+
 **Dependency visibility contract** (docs/PERFORMANCE.md): probe
 memoization tracks a check's read set through the environment seams.
 A monitor's ``check`` reads (a) its own summary, which advances only
@@ -33,12 +49,14 @@ when the owning instance's trace does -- covered by that instance's
 epoch, which the object base records for every aspect it checks -- and
 (b) current state and populations through the passed environment
 (``Instance.observe`` / ``ObjectBase.population``), which record
-themselves.  In particular the active-domain enumeration of quantified
-permissions reads class populations via ``env.class_population`` on
-every ``check``, so such verdicts carry population-epoch dependencies
-and are invalidated by any birth or death in the quantified class.
-New summary state must stay a pure fold of the owner's trace steps (or
-the check must punt).
+themselves.  The summary folds read populations at ``update`` time
+only: a generic fold merges them into its active domain there, and a
+guarded fold reads no population at all.  Quantifier nodes enumerate
+their domain at ``check`` time and read class populations via
+``env.class_population``, so quantified verdicts carry
+population-epoch dependencies and are invalidated by any birth or
+death in the quantified class.  New summary state must stay a pure
+fold of the owner's trace steps (or the check must punt).
 """
 
 from __future__ import annotations
@@ -46,7 +64,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.datatypes.evaluator import Environment, _harvest, evaluate
-from repro.datatypes.sorts import IdSort, Sort
+from repro.datatypes.sorts import IdSort, ListSort, SetSort, Sort
+from repro.datatypes.terms import Apply, Var
 from repro.datatypes.values import Value, boolean
 from repro.diagnostics import EvaluationError
 from repro.temporal.evaluation import StateEnvironment, TraceStep, match_pattern
@@ -255,6 +274,62 @@ class _SometimeNode(_FoldNode):
         return key is not None and key in self._marked
 
 
+class _GuardedSometimeNode(_SometimeNode):
+    """``sometime(x in A)``: only elements of ``A`` can satisfy the
+    guard, so each step folds those (sort-compatible with ``x``) rather
+    than every binding of the active domain.  On every step whose state
+    holds ``A`` it marks exactly what the generic fold would, keyed by
+    the same value equality."""
+
+    def __init__(self, child: _Node, name: str, sort: Sort, attribute: str):
+        self._child = child
+        self._free_names = (name,)
+        self._marked: Set[Binding] = set()
+        self._sort = sort
+        self._attribute = attribute
+
+    def update(self, step: TraceStep, env: Environment) -> None:
+        state = step.state_dict()
+        guard = state.get(self._attribute)
+        if guard is None or not isinstance(guard.sort, (SetSort, ListSort)):
+            return
+        state_env = StateEnvironment(state, env)
+        name, sort, marked = self._free_names[0], self._sort, self._marked
+        for element in guard.payload:
+            key = (element,)
+            if (
+                key not in marked
+                and element.sort.is_compatible_with(sort)
+                and self._child.check(state_env.child({name: element}))
+            ):
+                marked.add(key)
+
+
+def _membership_guard(
+    body: Formula, free_decls: Tuple[Tuple[str, Sort], ...]
+) -> Optional[Tuple[str, Sort, str]]:
+    """``(x, sort, A)`` when ``body`` is the state proposition ``x in A``
+    over its only declared variable ``x`` and an undeclared name ``A``.
+    Collection and ``any`` sorts keep the generic fold: ``in`` reads a
+    collection-valued ``x`` as the container."""
+    if len(free_decls) != 1 or not isinstance(body, StateProp):
+        return None
+    (name, sort), term = free_decls[0], body.term
+    if not (isinstance(term, Apply) and term.op == "in" and len(term.args) == 2):
+        return None
+    element, collection = term.args
+    if not (
+        isinstance(element, Var)
+        and element.name == name
+        and isinstance(collection, Var)
+        and collection.name != name
+    ):
+        return None
+    if type(sort) not in (Sort, IdSort) or sort.name == "any":
+        return None
+    return name, sort, collection.name
+
+
 class _AlwaysNode(_FoldNode):
     """``always(φ)``: φ held at every recorded position *and holds at the
     current instant*."""
@@ -384,7 +459,11 @@ def _compile(formula: Formula, var_sorts: Dict[str, Sort], term_eval=evaluate) -
         if isinstance(formula.body, After):
             return _SometimeAfterNode(formula.body, term_eval)
         child = _compile(formula.body, var_sorts, term_eval)
-        return _SometimeNode(child, _decls_for(formula.body.free_variables(), var_sorts))
+        free_decls = _decls_for(formula.body.free_variables(), var_sorts)
+        guard = _membership_guard(formula.body, free_decls)
+        if guard is not None:
+            return _GuardedSometimeNode(child, *guard)
+        return _SometimeNode(child, free_decls)
     if isinstance(formula, Always):
         child = _compile(formula.body, var_sorts, term_eval)
         return _AlwaysNode(child, _decls_for(formula.body.free_variables(), var_sorts))
@@ -411,6 +490,21 @@ def _compile(formula: Formula, var_sorts: Dict[str, Sort], term_eval=evaluate) -
     raise EvaluationError(f"cannot compile formula of kind {type(formula).__name__}")
 
 
+def is_stateless(formula: Formula) -> bool:
+    """Does ``formula`` compile to state propositions under
+    ``not``/``and``/``or``/``=>`` only?  Such a tree keeps no summary
+    (every node's ``update`` is a no-op), so it needs no upkeep and no
+    replay.  Temporal operators and quantifiers (which accumulate their
+    domain) all hold state."""
+    if isinstance(formula, StateProp):
+        return True
+    if isinstance(formula, NotF):
+        return is_stateless(formula.body)
+    if isinstance(formula, (AndF, OrF, ImpliesF)):
+        return is_stateless(formula.left) and is_stateless(formula.right)
+    return False
+
+
 class FormulaMonitor:
     """The incremental monitor for one formula.
 
@@ -433,6 +527,8 @@ class FormulaMonitor:
         #: ``ObjectBase.eval_term`` to route them through the closure
         #: compiler; default is the tree-walking interpreter
         self._root = _compile(formula, dict(var_sorts or {}), term_eval or evaluate)
+        #: True when ``update`` is a no-op (see :func:`is_stateless`)
+        self.stateless = is_stateless(formula)
         #: optional telemetry hooks (an Observability-shaped object with
         #: on_monitor_update/on_monitor_check); None means no overhead
         self.hooks = hooks
